@@ -1,7 +1,8 @@
 #include "gala/core/kernels.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <array>
+#include <unordered_map>
 
 #include "gala/common/error.hpp"
 #include "gala/gpusim/block.hpp"
@@ -10,16 +11,71 @@
 namespace gala::core {
 namespace {
 
+using gpusim::kSharedBanks;
 using gpusim::kWarpSize;
-using gpusim::LaneMask;
 using gpusim::MemoryStats;
-using gpusim::WarpValues;
 
 /// (community, partial d_C(v)) pair spilled by chunk leaders.
 struct SpillEntry {
   cid_t community;
   wt_t weight;
 };
+
+/// One warp's chunk of a row, executed natively. The communities of the
+/// non-self-loop lanes are kept in first-appearance (= leader-lane) order,
+/// each with its weight summed in lane order from wt_t{}: exactly the groups
+/// __match_any_sync forms and the sums __reduce_add_sync hands their leaders.
+struct ChunkGroups {
+  std::uint64_t active = 0;    ///< p: lanes that are not self-loops
+  std::uint64_t groups = 0;    ///< g: distinct communities
+  std::uint64_t segments = 0;  ///< s: distinct 32-id segments of the C[u] gather
+  std::array<cid_t, kWarpSize> community;
+  std::array<wt_t, kWarpSize> weight;
+};
+
+ChunkGroups execute_chunk(const DecideInput& in, vid_t v, std::span<const vid_t> nbrs,
+                          std::span<const wt_t> ws) {
+  ChunkGroups c;
+  std::uint64_t last_segment = ~std::uint64_t{0};
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const vid_t u = nbrs[i];
+    if (u == v) continue;  // self-loops cancel out of every comparison
+    ++c.active;
+    // Rows are sorted, so distinct segments are the changes of u/32.
+    const std::uint64_t segment = u / kWarpSize;
+    if (segment != last_segment) {
+      ++c.segments;
+      last_segment = segment;
+    }
+    const cid_t cu = in.comm[u];
+    std::uint64_t k = 0;
+    while (k < c.groups && c.community[k] != cu) ++k;
+    if (k == c.groups) {
+      c.community[k] = cu;
+      c.weight[k] = wt_t{};
+      ++c.groups;
+    }
+    c.weight[k] += ws[i];
+  }
+  return c;
+}
+
+/// `count` warp-wide instructions with `active` useful lanes each.
+void charge_warp_instructions(std::uint64_t count, std::uint64_t active, MemoryStats& stats) {
+  stats.simt_lane_slots += count * kWarpSize;
+  stats.simt_active_lanes += count * active;
+}
+
+/// The three warp instructions every chunk with an active lane runs: the C[u] gather
+/// (one transaction per segment), __match_any_sync (one shuffle) and the
+/// segmented __reduce_add_sync (one shuffle per group).
+void charge_chunk(const ChunkGroups& c, MemoryStats& stats) {
+  stats.gather_requests += 1;
+  stats.gather_transactions += c.segments;
+  stats.shuffle_ops += 1 + c.groups;
+  stats.register_ops += 2 * c.active;
+  charge_warp_instructions(3, c.active, stats);
+}
 
 }  // namespace
 
@@ -31,117 +87,83 @@ Decision shuffle_decide(const DecideInput& in, vid_t v, gpusim::SharedMemoryAren
   const auto nbrs = g.neighbors(v);
   const auto ws = g.weights(v);
   const std::size_t deg = nbrs.size();
-
-  Decision result;
-  wt_t e_curr = 0;
-  BestTracker tracker;
-
+  // Wider rows spill to shared memory; exhaustion throws before any charge.
   const bool multi_chunk = deg > static_cast<std::size_t>(kWarpSize);
   std::span<SpillEntry> spill;
-  std::size_t spill_count = 0;
   if (multi_chunk) spill = spill_arena.allocate<SpillEntry>(deg);
+  // Loads: neighbour id, edge weight, C[u] per lane (Alg. 2 lines 2-4).
+  stats.global_reads += 3 * deg;
 
-  for (std::size_t base = 0; base < deg; base += kWarpSize) {
-    const int lanes = static_cast<int>(std::min<std::size_t>(kWarpSize, deg - base));
-    LaneMask active = gpusim::warp::first_lanes(lanes);
-    WarpValues<cid_t> my_c{};
-    WarpValues<wt_t> my_w{};
-    for (int i = 0; i < lanes; ++i) {
-      const vid_t u = nbrs[base + i];
-      // Loads: neighbour id, edge weight, C[u] (Alg. 2 lines 2-4).
-      stats.global_reads += 3;
-      if (u == v) {
-        active &= ~(LaneMask{1} << i);  // self-loops cancel out of every comparison
-        continue;
+  wt_t e_curr = 0;
+  BestTracker tracker;
+  auto score = [&](cid_t c, wt_t weight) {
+    if (c == curr) e_curr = weight;
+    return move_score(weight, in.comm_total[c], dv, in.two_m, c == curr, in.resolution);
+  };
+
+  if (!multi_chunk) {
+    // Registers only (Alg. 2 lines 5-9): gather, match, reduce-add, then per
+    // group leader a D_V(C) load, one __reduce_max_sync and the winner
+    // election (a ballot + min-reduce on hardware; the tracker's
+    // smaller-id tie-break is the same rule).
+    const ChunkGroups c = execute_chunk(in, v, nbrs, ws);
+    if (c.active > 0) {
+      charge_chunk(c, stats);
+      stats.global_reads += c.groups;
+      stats.shuffle_ops += 2;
+      stats.register_ops += c.active;
+      charge_warp_instructions(1, c.active, stats);
+      for (std::uint64_t k = 0; k < c.groups; ++k) {
+        tracker.offer(c.community[k], score(c.community[k], c.weight[k]));
       }
-      my_c[i] = in.comm[u];
-      my_w[i] = ws[base + i];
     }
-    if (active == 0) continue;
-
-    // Coalescing diagnostic: the C[u] lookups gather by neighbour id.
-    {
-      WarpValues<vid_t> addrs{};
-      for (int i = 0; i < lanes; ++i) addrs[i] = nbrs[base + i];
-      gpusim::warp::gather_transactions(active, addrs, stats);
-    }
-
-    const auto masks = gpusim::warp::match_any(active, my_c, stats);  // Alg. 2 line 5
-    const auto sums = gpusim::warp::segmented_reduce_add(active, masks, my_w, stats);  // line 6
-
-    if (!multi_chunk) {
-      // Score per group leader; __reduce_max_sync picks the winner (lines 7-9).
-      WarpValues<wt_t> my_dq{};
-      for (int i = 0; i < kWarpSize; ++i) my_dq[i] = std::numeric_limits<wt_t>::lowest();
-      for (int i = 0; i < kWarpSize; ++i) {
-        if (!((active >> i) & 1u)) continue;
-        if (gpusim::warp::leader_lane(masks[i]) != i) continue;  // one lane per community
-        const cid_t c = my_c[i];
-        stats.global_reads += 1;  // D_V(C) load
-        my_dq[i] = move_score(sums[i], in.comm_total[c], dv, in.two_m, c == curr, in.resolution);
-        if (c == curr) e_curr = sums[i];
-      }
-      const wt_t max_dq = gpusim::warp::reduce_max(active, my_dq, stats);
-      // Winner election: among lanes achieving the max, the smallest
-      // community id wins (a ballot + min-reduce on hardware).
-      stats.shuffle_ops += 1;
-      for (int i = 0; i < kWarpSize; ++i) {
-        if (((active >> i) & 1u) && my_dq[i] == max_dq) tracker.offer(my_c[i], my_dq[i]);
-      }
-    } else {
-      // Chunk leaders spill their (community, partial sum) pair to shared
-      // memory for the cross-chunk merge. The leaders' stores form one
-      // warp-wide shared request; consecutive spill slots keep it (mostly)
-      // conflict-free, which the bank model verifies.
-      constexpr std::uint64_t kSpillWords = sizeof(SpillEntry) / 4;
-      LaneMask leaders = 0;
-      WarpValues<std::uint64_t> spill_words{};
-      for (int i = 0; i < kWarpSize; ++i) {
-        if (!((active >> i) & 1u)) continue;
-        if (gpusim::warp::leader_lane(masks[i]) != i) continue;
-        GALA_ASSERT(spill_count < spill.size());
-        leaders |= (LaneMask{1} << i);
-        spill_words[i] = static_cast<std::uint64_t>(spill_count) * kSpillWords;
-        spill[spill_count++] = {my_c[i], sums[i]};
-        stats.shared_writes += 1;
-      }
-      if (leaders != 0) gpusim::warp::shared_transactions(leaders, spill_words, stats);
-    }
-  }
-
-  if (multi_chunk) {
-    // Consolidate partial sums that belong to the same community across
-    // chunks (in-place linear merge over the shared-memory spill list).
+  } else {
+    // Chunk leaders spill (community, partial sum) to shared memory as one
+    // warp-wide store; consecutive 16-byte slots conflict only every eighth
+    // slot. The in-place linear merge that consolidates the spill list
+    // (entry j scans the unique prefix until it finds its community) is
+    // charged per entry from the first-occurrence index a native lookup
+    // gives: 1 + (index + 1 | unique count) reads and one write.
+    constexpr std::uint64_t kSpillWords = sizeof(SpillEntry) / 4;
+    std::unordered_map<cid_t, std::size_t> position;  // community -> unique index
+    std::uint64_t spill_count = 0;
     std::size_t unique = 0;
-    for (std::size_t j = 0; j < spill_count; ++j) {
-      stats.shared_reads += 1;
-      bool merged = false;
-      for (std::size_t k = 0; k < unique; ++k) {
-        stats.shared_reads += 1;
-        if (spill[k].community == spill[j].community) {
-          spill[k].weight += spill[j].weight;
-          stats.shared_writes += 1;
-          merged = true;
-          break;
+    for (std::size_t base = 0; base < deg; base += kWarpSize) {
+      const std::size_t lanes = std::min<std::size_t>(kWarpSize, deg - base);
+      const ChunkGroups c =
+          execute_chunk(in, v, nbrs.subspan(base, lanes), ws.subspan(base, lanes));
+      if (c.active == 0) continue;
+      charge_chunk(c, stats);
+      int per_bank[kSharedBanks] = {};
+      int waves = 0;
+      for (std::uint64_t k = 0; k < c.groups; ++k, ++spill_count) {
+        waves = std::max(waves, ++per_bank[spill_count * kSpillWords % kSharedBanks]);
+        const auto [it, inserted] = position.try_emplace(c.community[k], unique);
+        if (inserted) {
+          stats.shared_reads += 1 + unique;
+          spill[unique++] = {c.community[k], c.weight[k]};
+        } else {
+          stats.shared_reads += 2 + it->second;
+          spill[it->second].weight += c.weight[k];
         }
       }
-      if (!merged) {
-        spill[unique] = spill[j];
-        stats.shared_writes += 1;
-        ++unique;
-      }
+      stats.shared_writes += c.groups;
+      stats.shared_requests += 1;
+      stats.shared_waves += static_cast<std::uint64_t>(waves);
+      charge_warp_instructions(1, c.groups, stats);
     }
+    stats.shared_writes += spill_count;  // one write per merged entry
+    // Score every consolidated community: a shared read, a D_V(C) load and
+    // a register op each.
+    stats.shared_reads += unique;
+    stats.global_reads += unique;
+    stats.register_ops += unique;
     for (std::size_t k = 0; k < unique; ++k) {
-      stats.shared_reads += 1;
-      stats.global_reads += 1;  // D_V(C) load
-      const cid_t c = spill[k].community;
-      const wt_t score = move_score(spill[k].weight, in.comm_total[c], dv, in.two_m, c == curr, in.resolution);
-      stats.register_ops += 1;
-      if (c == curr) e_curr = spill[k].weight;
-      tracker.offer(c, score);
+      tracker.offer(spill[k].community, score(spill[k].community, spill[k].weight));
     }
   }
 
+  Decision result;
   result.weight_to_curr = e_curr;
   stats.global_reads += 1;  // D_V(C[v])
   result.curr_score = move_score(e_curr, in.comm_total[curr], dv, in.two_m, /*in_community=*/true, in.resolution);

@@ -8,6 +8,13 @@
 //    leaders spill (community, partial-sum) pairs into shared memory and a
 //    merge pass consolidates them (the natural extension "through loop" the
 //    paper sketches).
+//    The simulator splits execution from accounting: each chunk of <= 32
+//    neighbours is walked once natively, accumulating (community, weight)
+//    in first-appearance order with lane-order sums, and every MemoryStats
+//    field is charged in closed form from the chunk's lane, active-lane,
+//    group and 32-id-segment counts (charge table: docs/gpusim.md). The
+//    lane-by-lane simulation on the gpusim::warp primitives in
+//    tests/kernels_test.cpp is the specification it must match bit for bit.
 //
 //  - hash_decide (Algorithm 3): a block handles one vertex; threads stride
 //    over neighbours, accumulating into a NeighborCommunityTable under the

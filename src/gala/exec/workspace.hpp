@@ -185,24 +185,28 @@ class Workspace {
   template <typename T>
   Lease<T> take(std::size_t count, std::string_view tag, Fill fill = Fill::Dirty) {
     const std::size_t bytes = count * sizeof(T);
-    // Budget admission runs before any slab moves: a governor refusal
-    // (gala::ResourceExhausted) unwinds with the lease still empty, so the
-    // destructor has nothing to credit back.
-    memtrace::admit(tag, class_bytes(bytes), /*may_throw=*/true);
+    // Modeled charge: the request's size class, never the (pool-state
+    // dependent) capacity of the serving slab — that difference is slack,
+    // tracked in the host section.
+    const std::size_t modeled = class_bytes(bytes);
     Lease<T> lease;
     lease.ws_ = this;
     lease.count_ = count;
     lease.tag_ = tag;
-    lease.epoch_ = checkout(bytes, tag_hash(tag), lease.slab_, lease.same_tag_);
-    if (memtrace::MemRegistry::armed()) {
-      // Modeled charge: the request's size class, never the (pool-state
-      // dependent) capacity of the serving slab — that difference is slack,
-      // tracked in the host section.
-      const std::size_t modeled = class_bytes(bytes);
-      memtrace::MemRegistry::global().on_alloc(tag, modeled, bytes, /*workspace=*/true);
-      if (lease.slab_.capacity > modeled) {
-        memtrace::MemRegistry::global().note_slack(lease.slab_.capacity - modeled);
+    {
+      // Budget admission runs before any slab moves: a governor refusal
+      // (gala::ResourceExhausted) unwinds with the lease still empty, so the
+      // destructor has nothing to credit back. The charge lands inside the
+      // same admission critical section.
+      const auto admission = memtrace::MemRegistry::admission_lock();
+      memtrace::admit(tag, modeled, /*may_throw=*/true);
+      lease.epoch_ = checkout(bytes, tag_hash(tag), lease.slab_, lease.same_tag_);
+      if (memtrace::MemRegistry::armed()) {
+        memtrace::MemRegistry::global().on_alloc(tag, modeled, bytes, /*workspace=*/true);
       }
+    }
+    if (memtrace::MemRegistry::armed() && lease.slab_.capacity > modeled) {
+      memtrace::MemRegistry::global().note_slack(lease.slab_.capacity - modeled);
     }
     if (fill == Fill::Zero && bytes > 0) std::memset(lease.slab_.data.get(), 0, bytes);
     return lease;

@@ -47,10 +47,17 @@
 // max(live, budget/2) on a seeded FaultPlan schedule, exercising the
 // supervisor's retry/rollback machinery under genuine memory pressure.
 //
+// Concurrency: admit() projects live + requested bytes, so sites whose bytes
+// go live (Workspace checkouts, resident gauges) hold
+// memtrace::MemRegistry::admission_lock() from the admission until their
+// charge has landed. Concurrent ranks therefore see each other's admitted
+// bytes and cannot all pass the check before any of them charges.
+//
 // Cost discipline: uninstalled, the memtrace hook pointer is null and every
-// allocation site pays one relaxed load. Installed, an admission is a couple
-// of relaxed loads plus a compare; the mutex is only taken on escalation,
-// shrink, and reclaim — all rare.
+// allocation site pays one relaxed load. Installed, an admission takes the
+// memtrace admission mutex and does a couple of relaxed loads plus a
+// compare; the governor mutex is only taken on escalation, shrink, and
+// reclaim — all rare.
 #pragma once
 
 #include <atomic>

@@ -88,6 +88,8 @@ struct MemoryStats {
     ht_occupancy_hist[decile] += 1;
   }
 
+  friend bool operator==(const MemoryStats&, const MemoryStats&) = default;
+
   MemoryStats& operator+=(const MemoryStats& o) {
     global_reads += o.global_reads;
     global_writes += o.global_writes;

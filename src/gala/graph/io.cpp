@@ -131,15 +131,44 @@ Graph load_binary(const std::string& path) {
              "corrupt offsets in " << path << ": [" << offsets.front() << ", " << offsets.back()
                                    << "] for " << adj.size() << " adjacency entries");
   const vid_t n = static_cast<vid_t>(offsets.size() - 1);
+  // The file must hold both directions of every edge with equal weights.
+  // Rows are visited in ascending v, so the lower entries (v, u < v) that
+  // name row u arrive in ascending v: the order of row u's upper entries.
+  // Each lower entry must therefore match row u's next unmatched upper
+  // entry, and no upper entry may be left unmatched at the end.
+  std::vector<eid_t> cursor(n);  // next unmatched upper entry (u, x > u) of row u
   GraphBuilder builder(n);
   for (vid_t v = 0; v < n; ++v) {
     GALA_CHECK(offsets[v] <= offsets[v + 1],
                "non-monotone offsets at vertex " << v << " in " << path);
+    cursor[v] = offsets[v + 1];
     for (eid_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-      GALA_CHECK(adj[e] < n,
-                 "neighbour id " << adj[e] << " out of range [0, " << n << ") in " << path);
-      if (adj[e] >= v) builder.add_edge(v, adj[e], w[e]);
+      const vid_t u = adj[e];
+      GALA_CHECK(u < n, "neighbour id " << u << " out of range [0, " << n << ") in " << path);
+      GALA_CHECK(e == offsets[v] || adj[e - 1] <= u,
+                 path << ": row " << v << " is not sorted by neighbour id");
+      if (u > v && cursor[v] == offsets[v + 1]) cursor[v] = e;
+      if (u >= v) {
+        builder.add_edge(v, u, w[e]);
+        continue;
+      }
+      const eid_t m = cursor[u];
+      GALA_CHECK(m == offsets[u + 1] || adj[m] >= v,
+                 path << ": entry (" << u << ", " << adj[m] << ") has no mirror entry ("
+                      << adj[m] << ", " << u << ")");
+      GALA_CHECK(m < offsets[u + 1] && adj[m] == v,
+                 path << ": entry (" << v << ", " << u << ") has no mirror entry (" << u << ", "
+                      << v << ")");
+      GALA_CHECK(w[m] == w[e], path << ": edge {" << u << ", " << v << "} weighs " << w[m]
+                                    << " in row " << u << " but " << w[e] << " in row " << v);
+      ++cursor[u];
     }
+  }
+  for (vid_t u = 0; u < n; ++u) {
+    const eid_t m = cursor[u];
+    GALA_CHECK(m == offsets[u + 1], path << ": entry (" << u << ", " << adj[m]
+                                         << ") has no mirror entry (" << adj[m] << ", " << u
+                                         << ")");
   }
   return builder.build();
 }

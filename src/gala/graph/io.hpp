@@ -20,7 +20,10 @@ Graph load_edge_list(const std::string& path, vid_t num_vertices = 0);
 /// Writes the graph as a text edge list (each undirected edge once).
 void save_edge_list(const Graph& g, const std::string& path);
 
-/// Binary snapshot round trip.
+/// Binary snapshot round trip. load_binary validates the CSR it reads and
+/// never repairs it: rows must be sorted by neighbour id and every entry
+/// (v, u), u != v, must have a mirror (u, v) of the same weight. Violations
+/// throw gala::Error "<path>: <reason>".
 void save_binary(const Graph& g, const std::string& path);
 Graph load_binary(const std::string& path);
 

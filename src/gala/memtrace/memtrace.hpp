@@ -164,6 +164,17 @@ class MemRegistry {
     admit_hook_.store(hook, std::memory_order_relaxed);
   }
   static AdmitHook admit_hook() { return admit_hook_.load(std::memory_order_relaxed); }
+  /// While an admission hook is installed, an admission and the live charge
+  /// it admits must form one critical section: the hook projects
+  /// live_total() + bytes, so concurrent ranks that each passed the check
+  /// before any of them charged would overrun the budget together. Sites
+  /// whose admitted bytes go live hold this lock from admit() until the
+  /// charge has landed. Without a hook it returns an empty guard (one
+  /// relaxed load).
+  static std::unique_lock<std::mutex> admission_lock() {
+    if (admit_hook() == nullptr) return {};
+    return std::unique_lock(admission_mutex_);
+  }
 
   /// Modeled bytes live right now (checked out + resident), summed across
   /// all tags and ranks: the budget-enforcement input. One relaxed load.
@@ -237,6 +248,7 @@ class MemRegistry {
 
   static inline std::atomic<bool> armed_flag_{true};
   static inline std::atomic<AdmitHook> admit_hook_{nullptr};
+  static inline std::mutex admission_mutex_;
 
   std::atomic<std::uint64_t> live_total_{0};
   mutable std::mutex mutex_;
@@ -271,7 +283,8 @@ inline void charge(std::string_view tag, std::uint64_t modeled) {
   MemRegistry::global().charge(tag, modeled);
 }
 inline void set_resident(std::string_view tag, std::uint64_t bytes) {
-  if (MemRegistry::admit_hook() != nullptr) {
+  const auto admission = MemRegistry::admission_lock();
+  if (admission.owns_lock()) {
     // The governor projects live_total() + charge, and live_total_ already
     // includes this gauge's current value — admit only the increase, or a
     // re-set each level (e.g. "graph.contraction") double-counts the old

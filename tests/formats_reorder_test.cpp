@@ -1,27 +1,27 @@
 // Matrix Market / METIS loaders and the vertex reordering utilities.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 
 #include "gala/core/gala.hpp"
 #include "gala/graph/formats.hpp"
 #include "gala/graph/reorder.hpp"
+#include "temp_dir.hpp"
 #include "test_util.hpp"
 
 namespace gala::graph {
 namespace {
 
-std::string temp_file(const std::string& name, const std::string& content) {
-  const auto dir = std::filesystem::temp_directory_path() / "gala_formats_test";
-  std::filesystem::create_directories(dir);
-  const auto path = (dir / name).string();
+std::string temp_file(const gala::testing::TestTempDir& tmp, const std::string& name,
+                      const std::string& content) {
+  const auto path = tmp.path(name);
   std::ofstream(path) << content;
   return path;
 }
 
 TEST(MatrixMarket, LoadsSymmetricWeighted) {
-  const auto path = temp_file("sym.mtx",
+  const gala::testing::TestTempDir tmp;
+  const auto path = temp_file(tmp, "sym.mtx",
                               "%%MatrixMarket matrix coordinate real symmetric\n"
                               "% a comment\n"
                               "4 4 3\n"
@@ -36,7 +36,8 @@ TEST(MatrixMarket, LoadsSymmetricWeighted) {
 }
 
 TEST(MatrixMarket, PatternEntriesGetUnitWeight) {
-  const auto path = temp_file("pat.mtx",
+  const gala::testing::TestTempDir tmp;
+  const auto path = temp_file(tmp, "pat.mtx",
                               "%%MatrixMarket matrix coordinate pattern symmetric\n"
                               "3 3 2\n"
                               "2 1\n"
@@ -46,7 +47,8 @@ TEST(MatrixMarket, PatternEntriesGetUnitWeight) {
 }
 
 TEST(MatrixMarket, GeneralMatricesAreSymmetrisedBySumming) {
-  const auto path = temp_file("gen.mtx",
+  const gala::testing::TestTempDir tmp;
+  const auto path = temp_file(tmp, "gen.mtx",
                               "%%MatrixMarket matrix coordinate real general\n"
                               "2 2 2\n"
                               "1 2 1.0\n"
@@ -57,7 +59,8 @@ TEST(MatrixMarket, GeneralMatricesAreSymmetrisedBySumming) {
 }
 
 TEST(MatrixMarket, DiagonalBecomesSelfLoop) {
-  const auto path = temp_file("diag.mtx",
+  const gala::testing::TestTempDir tmp;
+  const auto path = temp_file(tmp, "diag.mtx",
                               "%%MatrixMarket matrix coordinate real symmetric\n"
                               "2 2 2\n"
                               "1 1 4.0\n"
@@ -67,21 +70,22 @@ TEST(MatrixMarket, DiagonalBecomesSelfLoop) {
 }
 
 TEST(MatrixMarket, RejectsMalformedInput) {
-  EXPECT_THROW(load_matrix_market(temp_file("bad1.mtx", "not a banner\n1 1 0\n")), Error);
+  const gala::testing::TestTempDir tmp;
+  EXPECT_THROW(load_matrix_market(temp_file(tmp, "bad1.mtx", "not a banner\n1 1 0\n")), Error);
   EXPECT_THROW(load_matrix_market(temp_file(
-                   "bad2.mtx", "%%MatrixMarket matrix coordinate real symmetric\n2 3 0\n")),
+                   tmp, "bad2.mtx", "%%MatrixMarket matrix coordinate real symmetric\n2 3 0\n")),
                Error);
   EXPECT_THROW(load_matrix_market(temp_file(
+                   tmp,
                    "bad3.mtx",
                    "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 2 1.0\n")),
                Error);  // truncated
 }
 
 TEST(Metis, RoundTripThroughSaveAndLoad) {
+  const gala::testing::TestTempDir tmp;
   const Graph g = testing::small_planted(5, 200, 4, 0.2);
-  const auto dir = std::filesystem::temp_directory_path() / "gala_formats_test";
-  std::filesystem::create_directories(dir);
-  const auto path = (dir / "round.graph").string();
+  const auto path = tmp.path("round.graph");
   save_metis(g, path);
   const Graph loaded = load_metis(path);
   EXPECT_EQ(loaded.num_vertices(), g.num_vertices());
@@ -91,7 +95,8 @@ TEST(Metis, RoundTripThroughSaveAndLoad) {
 }
 
 TEST(Metis, LoadsUnweightedListing) {
-  const auto path = temp_file("plain.graph",
+  const gala::testing::TestTempDir tmp;
+  const auto path = temp_file(tmp, "plain.graph",
                               "% triangle plus pendant\n"
                               "4 4 0\n"
                               "2 3\n"
@@ -105,17 +110,18 @@ TEST(Metis, LoadsUnweightedListing) {
 }
 
 TEST(Metis, HeaderEdgeCountMismatchThrows) {
-  const auto path = temp_file("mismatch.graph", "3 5 0\n2\n1 3\n2\n");
+  const gala::testing::TestTempDir tmp;
+  const auto path = temp_file(tmp, "mismatch.graph", "3 5 0\n2\n1 3\n2\n");
   EXPECT_THROW(load_metis(path), Error);
 }
 
 TEST(Metis, SelfLoopsRejectedOnSave) {
+  const gala::testing::TestTempDir tmp;
   GraphBuilder b(2);
   b.add_edge(0, 0, 1.0);
   b.add_edge(0, 1, 1.0);
   const Graph g = b.build();
-  const auto dir = std::filesystem::temp_directory_path() / "gala_formats_test";
-  EXPECT_THROW(save_metis(g, (dir / "loops.graph").string()), Error);
+  EXPECT_THROW(save_metis(g, tmp.path("loops.graph")), Error);
 }
 
 // ------------------------------------------------------------- reorder ----

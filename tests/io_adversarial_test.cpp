@@ -6,14 +6,14 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "gala/common/error.hpp"
+#include "temp_dir.hpp"
 #include "test_util.hpp"
 
 namespace gala::graph {
@@ -21,14 +21,7 @@ namespace {
 
 class AdversarialIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::path(::testing::TempDir()) /
-           ("gala_io_adv_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string path(const std::string& name) const { return (dir_ / name).string(); }
+  std::string path(const std::string& name) const { return tmp_.path(name); }
 
   std::string write_text(const std::string& name, const std::string& content) {
     const std::string p = path(name);
@@ -52,7 +45,7 @@ class AdversarialIoTest : public ::testing::Test {
     }
   }
 
-  std::filesystem::path dir_;
+  gala::testing::TestTempDir tmp_;
 };
 
 // ---- binary format ----------------------------------------------------------
@@ -156,6 +149,66 @@ TEST_F(AdversarialIoTest, OutOfRangeNeighbourIdIsRejected) {
   out.write(reinterpret_cast<const char*>(w), sizeof(w));
   out.close();
   expect_error([&] { load_binary(p); }, {"out of range", p});
+}
+
+/// Writes a binary graph file from raw CSR arrays (no validation).
+std::string write_csr(const std::string& p, const std::vector<std::uint64_t>& offsets,
+                      const std::vector<std::uint32_t>& adj, const std::vector<double>& w) {
+  std::ofstream out(p, std::ios::binary);
+  const std::uint64_t magic = 0x47414c41475246ULL;
+  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  const auto write_array = [&out](const auto& values) {
+    const std::uint64_t len = values.size();
+    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
+    out.write(reinterpret_cast<const char*>(values.data()),
+              static_cast<std::streamsize>(len * sizeof(values[0])));
+  };
+  write_array(offsets);
+  write_array(adj);
+  write_array(w);
+  return p;
+}
+
+TEST_F(AdversarialIoTest, LowerEntryWithoutMirrorIsRejected) {
+  // Rows 0: {} and 1: {0}: the entry (1, 0) has no (0, 1); the old loader
+  // kept only upper entries and silently dropped the edge.
+  const std::string p = write_csr(path("lower_only.galabin"), {0, 0, 1}, {0}, {1.0});
+  expect_error([&] { load_binary(p); }, {p + ": ", "(1, 0) has no mirror entry (0, 1)"});
+}
+
+TEST_F(AdversarialIoTest, MirrorWeightMismatchIsRejected) {
+  // Edge {0, 1} weighs 2 one way and 3 the other; the old loader kept 2.
+  const std::string p = write_csr(path("weights.galabin"), {0, 1, 2}, {1, 0}, {2.0, 3.0});
+  expect_error([&] { load_binary(p); }, {p + ": ", "edge {0, 1} weighs 2 in row 0 but 3 in row 1"});
+}
+
+TEST_F(AdversarialIoTest, LeftoverUpperEntryIsRejected) {
+  // Rows 0: {1, 2}, 1: {0}, 2: {}: the entry (0, 2) is never mirrored.
+  const std::string p = write_csr(path("upper_only.galabin"), {0, 2, 3, 3}, {1, 2, 0},
+                                  {1.0, 1.0, 1.0});
+  expect_error([&] { load_binary(p); }, {p + ": ", "(0, 2) has no mirror entry (2, 0)"});
+  // Rows 0: {1, 2}, 1: {}, 2: {0}: row 2's entry skips past the unmatched
+  // (0, 1), which is reported there.
+  const std::string q = write_csr(path("skipped.galabin"), {0, 2, 2, 3}, {1, 2, 0},
+                                  {1.0, 1.0, 1.0});
+  expect_error([&] { load_binary(q); }, {q + ": ", "(0, 1) has no mirror entry (1, 0)"});
+}
+
+TEST_F(AdversarialIoTest, UnsortedRowIsRejected) {
+  const std::string p = write_csr(path("unsorted.galabin"), {0, 2, 3, 4}, {2, 1, 0, 0},
+                                  {1.0, 1.0, 1.0, 1.0});
+  expect_error([&] { load_binary(p); }, {p + ": ", "row 0 is not sorted"});
+}
+
+TEST_F(AdversarialIoTest, SymmetricCsrWithSelfLoopLoads) {
+  // Rows 0: {0, 1}, 1: {0, 2}, 2: {1}, with a self-loop on 0.
+  const std::string p = write_csr(path("ok.galabin"), {0, 2, 4, 5}, {0, 1, 0, 2, 1},
+                                  {4.0, 1.5, 1.5, 2.0, 2.0});
+  const Graph g = load_binary(p);
+  g.validate();
+  EXPECT_EQ(g.num_edges(), 3u);
+  EXPECT_DOUBLE_EQ(g.self_loop(0), 4.0);
+  EXPECT_DOUBLE_EQ(g.total_weight(), 7.5);
 }
 
 TEST_F(AdversarialIoTest, MissingBinaryFileIsStructuredError) {

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
+#include "temp_dir.hpp"
 #include "test_util.hpp"
 
 namespace gala::graph {
@@ -14,11 +14,9 @@ namespace {
 
 class IoTest : public ::testing::Test {
  protected:
-  std::string temp_path(const std::string& name) {
-    const auto dir = std::filesystem::temp_directory_path() / "gala_io_test";
-    std::filesystem::create_directories(dir);
-    return (dir / name).string();
-  }
+  std::string temp_path(const std::string& name) const { return tmp_.path(name); }
+
+  gala::testing::TestTempDir tmp_;
 };
 
 bool graphs_equal(const Graph& a, const Graph& b) {

@@ -1,12 +1,12 @@
 // JSON writer and run reports, plus the distributed full pipeline.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 
 #include "gala/core/gala.hpp"
 #include "gala/metrics/report.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
+#include "temp_dir.hpp"
 #include "test_util.hpp"
 
 namespace gala {
@@ -53,9 +53,8 @@ TEST(RunReport, ContainsTheKeyFacts) {
 TEST(RunReport, SavesToDisk) {
   const auto g = testing::two_triangles();
   const auto result = core::run_louvain(g);
-  const auto dir = std::filesystem::temp_directory_path() / "gala_report_test";
-  std::filesystem::create_directories(dir);
-  const auto path = (dir / "run.json").string();
+  const gala::testing::TestTempDir tmp;
+  const auto path = tmp.path("run.json");
   metrics::save_run_report(g, {}, result, path);
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());

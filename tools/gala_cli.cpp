@@ -335,6 +335,11 @@ int cmd_detect(int argc, const char* const* argv) {
     {
       core::GalaConfig probe_cfg = cfg;
       probe_cfg.bsp.on_iteration = nullptr;
+      // Sequential launches: pool workers share one accounting stream, so a
+      // parallel replay's peak depends on scheduling and a trial can miss a
+      // budget the reference run fit in. Sequential peaks are a pure
+      // function of the request sequence, as in bench/perf_profile.
+      probe_cfg.bsp.parallel = false;
       probe_solve = [&g, probe_cfg] { return core::run_louvain(g, probe_cfg).assignment; };
     }
     const bool supervised = args.has("supervise") || args.has("faults") || args.has("strict") ||
