@@ -4,7 +4,10 @@
 // and disappear in batches. This extension applies a batch of edge updates
 // and *repairs* the previous community structure instead of restarting:
 //
-//   1. rebuild the CSR with the updates applied,
+//   1. apply the updates to the CSR at the cost of the batch: sort the
+//      batch by undirected edge, fold each edge's updates in batch order,
+//      copy the untouched rows and merge the changes into the touched ones
+//      (O(B log B + V + E), no re-sort of the whole graph),
 //   2. warm-start the BSP engine from the previous assignment,
 //   3. let MG pruning (Equation 6) act as delta screening — vertices whose
 //      converged neighbourhood is untouched satisfy the inequality on
@@ -36,6 +39,13 @@ struct EdgeUpdate {
 
 /// Applies `updates` to `g` and returns the new graph. Vertex count is
 /// unchanged; removing more weight than an edge has deletes the edge.
+/// `g` must be symmetric (both directions of every edge bit-equal, as
+/// GraphBuilder and load_binary produce). Each edge's updates fold in batch
+/// order over its current weight; the result is bit-identical to summing
+/// the updates into a map of the undirected edges and rebuilding the graph
+/// from it. Cost O(B log B + V + E) for B updates. Throws gala::Error naming
+/// the first offending update in batch order: a vertex out of range, a
+/// weight that is not positive, or the removal of an absent edge.
 graph::Graph apply_edge_updates(const graph::Graph& g, std::span<const EdgeUpdate> updates);
 
 struct IncrementalResult {

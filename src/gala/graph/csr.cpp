@@ -15,43 +15,56 @@ void GraphBuilder::add_edge(vid_t u, vid_t v, wt_t w) {
 }
 
 Graph GraphBuilder::build() {
-  // Expand to directed entries: both directions for u != v, once for loops.
-  std::vector<RawEdge> directed;
-  directed.reserve(edges_.size() * 2);
+  // Bucket the directed entries by source row — both directions for u != v,
+  // once for loops — in insertion order, then sort each row stably by
+  // neighbour. Duplicates therefore sum in insertion order in both rows, so
+  // the two directions of a repeated edge stay bit-equal.
+  Graph g;
+  g.offsets_.assign(static_cast<std::size_t>(num_vertices_) + 1, 0);
   for (const RawEdge& e : edges_) {
-    directed.push_back(e);
-    if (e.src != e.dst) directed.push_back({e.dst, e.src, e.weight});
+    ++g.offsets_[e.src + 1];
+    if (e.src != e.dst) ++g.offsets_[e.dst + 1];
+  }
+  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
+  struct Entry {
+    vid_t dst;
+    wt_t weight;
+  };
+  std::vector<Entry> directed(g.offsets_.back());
+  {
+    std::vector<eid_t> fill(g.offsets_.begin(), g.offsets_.end() - 1);
+    for (const RawEdge& e : edges_) {
+      directed[fill[e.src]++] = {e.dst, e.weight};
+      if (e.src != e.dst) directed[fill[e.dst]++] = {e.src, e.weight};
+    }
   }
   edges_.clear();
   edges_.shrink_to_fit();
 
-  std::sort(directed.begin(), directed.end(), [](const RawEdge& a, const RawEdge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-
-  Graph g;
-  g.offsets_.assign(static_cast<std::size_t>(num_vertices_) + 1, 0);
   g.neighbors_.reserve(directed.size());
   g.weights_.reserve(directed.size());
   g.self_loops_.assign(num_vertices_, 0);
 
-  // Merge duplicates (same src,dst) by summing weights while emitting CSR.
-  std::size_t i = 0;
-  while (i < directed.size()) {
-    const vid_t src = directed[i].src;
-    const vid_t dst = directed[i].dst;
-    wt_t w = directed[i].weight;
-    ++i;
-    while (i < directed.size() && directed[i].src == src && directed[i].dst == dst) {
-      w += directed[i].weight;
-      ++i;
+  // Merge duplicates (same neighbour) by summing weights while emitting CSR;
+  // offsets_ turns from bucket bounds into row bounds as it goes.
+  auto row_begin = directed.begin();
+  for (vid_t v = 0; v < num_vertices_; ++v) {
+    const auto row_end = directed.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
+    if (row_end - row_begin > 1) {
+      std::stable_sort(row_begin, row_end,
+                       [](const Entry& a, const Entry& b) { return a.dst < b.dst; });
     }
-    g.neighbors_.push_back(dst);
-    g.weights_.push_back(w);
-    ++g.offsets_[src + 1];
-    if (src == dst) g.self_loops_[src] = w;
+    for (auto it = row_begin; it != row_end;) {
+      const vid_t dst = it->dst;
+      wt_t w = it->weight;
+      for (++it; it != row_end && it->dst == dst; ++it) w += it->weight;
+      g.neighbors_.push_back(dst);
+      g.weights_.push_back(w);
+      if (dst == v) g.self_loops_[v] = w;
+    }
+    g.offsets_[v + 1] = static_cast<eid_t>(g.neighbors_.size());
+    row_begin = row_end;
   }
-  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
 
   // Degrees and totals. Self-loops appear once in the adjacency, so adding
   // self_loops_[v] on top counts them twice in d(v).

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 namespace gala::graph {
@@ -123,9 +126,9 @@ Graph load_binary(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   GALA_CHECK(in.is_open(), "cannot open binary graph: " << path);
   GALA_CHECK(read_pod<std::uint64_t>(in) == kBinaryMagic, "bad magic in " << path);
-  const auto offsets = read_vec<eid_t>(in);
-  const auto adj = read_vec<vid_t>(in);
-  const auto w = read_vec<wt_t>(in);
+  auto offsets = read_vec<eid_t>(in);
+  auto adj = read_vec<vid_t>(in);
+  auto w = read_vec<wt_t>(in);
   GALA_CHECK(!offsets.empty() && adj.size() == w.size(), "inconsistent binary graph " << path);
   GALA_CHECK(offsets.front() == 0 && offsets.back() == adj.size(),
              "corrupt offsets in " << path << ": [" << offsets.front() << ", " << offsets.back()
@@ -135,9 +138,9 @@ Graph load_binary(const std::string& path) {
   // Rows are visited in ascending v, so the lower entries (v, u < v) that
   // name row u arrive in ascending v: the order of row u's upper entries.
   // Each lower entry must therefore match row u's next unmatched upper
-  // entry, and no upper entry may be left unmatched at the end.
+  // entry, and no upper entry may be left unmatched at the end. A file that
+  // passes is exactly a Graph's CSR, so its arrays are adopted as they are.
   std::vector<eid_t> cursor(n);  // next unmatched upper entry (u, x > u) of row u
-  GraphBuilder builder(n);
   for (vid_t v = 0; v < n; ++v) {
     GALA_CHECK(offsets[v] <= offsets[v + 1],
                "non-monotone offsets at vertex " << v << " in " << path);
@@ -147,11 +150,12 @@ Graph load_binary(const std::string& path) {
       GALA_CHECK(u < n, "neighbour id " << u << " out of range [0, " << n << ") in " << path);
       GALA_CHECK(e == offsets[v] || adj[e - 1] <= u,
                  path << ": row " << v << " is not sorted by neighbour id");
+      GALA_CHECK(e == offsets[v] || adj[e - 1] != u,
+                 path << ": row " << v << " lists neighbour " << u << " twice");
+      GALA_CHECK(w[e] > 0, path << ": entry (" << v << ", " << u << ") has non-positive weight "
+                                << w[e]);
       if (u > v && cursor[v] == offsets[v + 1]) cursor[v] = e;
-      if (u >= v) {
-        builder.add_edge(v, u, w[e]);
-        continue;
-      }
+      if (u >= v) continue;
       const eid_t m = cursor[u];
       GALA_CHECK(m == offsets[u + 1] || adj[m] >= v,
                  path << ": entry (" << u << ", " << adj[m] << ") has no mirror entry ("
@@ -159,8 +163,10 @@ Graph load_binary(const std::string& path) {
       GALA_CHECK(m < offsets[u + 1] && adj[m] == v,
                  path << ": entry (" << v << ", " << u << ") has no mirror entry (" << u << ", "
                       << v << ")");
-      GALA_CHECK(w[m] == w[e], path << ": edge {" << u << ", " << v << "} weighs " << w[m]
-                                    << " in row " << u << " but " << w[e] << " in row " << v);
+      GALA_CHECK(w[m] == w[e], path << ": edge {" << u << ", " << v << "} weighs "
+                                    << std::setprecision(std::numeric_limits<wt_t>::max_digits10)
+                                    << w[m] << " in row " << u << " but " << w[e] << " in row "
+                                    << v);
       ++cursor[u];
     }
   }
@@ -170,7 +176,7 @@ Graph load_binary(const std::string& path) {
                                          << ") has no mirror entry (" << adj[m] << ", " << u
                                          << ")");
   }
-  return builder.build();
+  return GraphBuilder::from_sorted_csr(n, std::move(offsets), std::move(adj), std::move(w));
 }
 
 }  // namespace gala::graph

@@ -20,10 +20,12 @@ Graph load_edge_list(const std::string& path, vid_t num_vertices = 0);
 /// Writes the graph as a text edge list (each undirected edge once).
 void save_edge_list(const Graph& g, const std::string& path);
 
-/// Binary snapshot round trip. load_binary validates the CSR it reads and
-/// never repairs it: rows must be sorted by neighbour id and every entry
-/// (v, u), u != v, must have a mirror (u, v) of the same weight. Violations
-/// throw gala::Error "<path>: <reason>".
+/// Binary snapshot round trip. load_binary validates the CSR it reads in
+/// O(V + E) and never repairs it: rows must be strictly sorted by neighbour
+/// id (a repeated neighbour is an error), weights must be positive, and
+/// every entry (v, u), u != v, must have a mirror (u, v) of the same weight.
+/// Violations throw gala::Error "<path>: <reason>". A file that passes
+/// becomes the Graph's CSR as it is, without a re-sort.
 void save_binary(const Graph& g, const std::string& path);
 Graph load_binary(const std::string& path);
 

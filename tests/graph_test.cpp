@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+
+#include "gala/common/prng.hpp"
+#include "gala/graph/io.hpp"
+#include "temp_dir.hpp"
 #include "test_util.hpp"
 
 namespace gala::graph {
@@ -96,6 +103,36 @@ TEST(GraphBuilder, BuilderReusableStateCleared) {
   EXPECT_EQ(b.num_added(), 1u);
   (void)b.build();
   EXPECT_EQ(b.num_added(), 0u);
+}
+
+// Fractional sums depend on their order: an edge added three or more times
+// must sum in the same order in both rows, or the two directions differ in
+// the last bit and load_binary rejects the graph's own snapshot.
+TEST(GraphBuilder, RepeatedFractionalEdgesAreBitEqualBothWays) {
+  testing::TestTempDir tmp;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Xoshiro256 rng(seed);
+    GraphBuilder b(300);
+    for (int k = 0; k < 2000; ++k) {
+      b.add_edge(static_cast<vid_t>(rng.next_below(300)), static_cast<vid_t>(rng.next_below(300)),
+                 0.1 + k / 37.0);
+    }
+    const Graph g = b.build();
+    for (vid_t v = 0; v < g.num_vertices(); ++v) {
+      const auto nbrs = g.neighbors(v);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const auto back = g.neighbors(nbrs[i]);
+        const auto j = static_cast<std::size_t>(std::lower_bound(back.begin(), back.end(), v) -
+                                                back.begin());
+        ASSERT_LT(j, back.size());
+        ASSERT_EQ(std::memcmp(&g.weights(v)[i], &g.weights(nbrs[i])[j], sizeof(wt_t)), 0)
+            << "seed " << seed << " edge {" << v << ", " << nbrs[i] << "}";
+      }
+    }
+    const std::string path = tmp.path("multigraph-" + std::to_string(seed) + ".bin");
+    save_binary(g, path);
+    EXPECT_TRUE(testing::bit_identical(load_binary(path), g)) << "seed " << seed;
+  }
 }
 
 TEST(Graph, SummaryMentionsCounts) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -180,6 +181,38 @@ TEST_F(AdversarialIoTest, MirrorWeightMismatchIsRejected) {
   // Edge {0, 1} weighs 2 one way and 3 the other; the old loader kept 2.
   const std::string p = write_csr(path("weights.galabin"), {0, 1, 2}, {1, 0}, {2.0, 3.0});
   expect_error([&] { load_binary(p); }, {p + ": ", "edge {0, 1} weighs 2 in row 0 but 3 in row 1"});
+  // Weights one ulp apart must print differently, not both as 64.9757.
+  const double w = 64.9757;
+  const std::string q = write_csr(path("ulp.galabin"), {0, 1, 2}, {1, 0},
+                                  {w, std::nextafter(w, 100.0)});
+  try {
+    load_binary(q);
+    FAIL() << "expected gala::Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    const auto value_after = [&what](const std::string& marker) {
+      const auto at = what.find(marker);
+      if (at == std::string::npos) return std::string();
+      const auto from = at + marker.size();
+      return what.substr(from, what.find(' ', from) - from);
+    };
+    const std::string in_row_0 = value_after(" weighs "), in_row_1 = value_after(" but ");
+    ASSERT_FALSE(in_row_0.empty() || in_row_1.empty()) << what;
+    EXPECT_NE(in_row_0, in_row_1) << what;
+  }
+}
+
+TEST_F(AdversarialIoTest, DuplicateRowEntryIsRejected) {
+  // Rows 0: {1, 1}, 1: {0, 0}: symmetric, but each row names its neighbour
+  // twice; the old loader summed the pair into one edge of weight 2.
+  const std::string p = write_csr(path("duplicate.galabin"), {0, 2, 4}, {1, 1, 0, 0},
+                                  {1.0, 1.0, 1.0, 1.0});
+  expect_error([&] { load_binary(p); }, {p + ": ", "row 0 lists neighbour 1 twice"});
+}
+
+TEST_F(AdversarialIoTest, NonPositiveBinaryWeightIsRejected) {
+  const std::string p = write_csr(path("zero.galabin"), {0, 1, 2}, {1, 0}, {0.0, 0.0});
+  expect_error([&] { load_binary(p); }, {p + ": ", "entry (0, 1) has non-positive weight 0"});
 }
 
 TEST_F(AdversarialIoTest, LeftoverUpperEntryIsRejected) {
